@@ -8,15 +8,19 @@ import (
 )
 
 // DefaultEveryTrials is the checkpoint cadence when the caller does not pick
-// one: frequent enough that a crash loses at most a handful of trials, rare
-// enough that the write cost (a few-kilobyte JSON marshal plus an fsync) is
-// noise next to even one virtual measurement.
+// one: frequent enough that a crash loses at most a handful of trials. Each
+// write rewrites the whole session — about 2 KB per delivered trial, so
+// ~270 KB for a 140-trial hierarchical session and over 100 MB for a long
+// random-search one — plus an fsync. Encoding stays proportional to the
+// trials since the previous write (TrialLog, runner.State), but the bytes
+// written and checksummed grow with the session.
 const DefaultEveryTrials = 8
 
 // Keeper writes session snapshots to a fixed path on a trial cadence
-// without blocking the session. The engine hands it a fully-built Snapshot
-// at a round boundary (a cheap in-memory copy); the encode, fsync, and
-// atomic rename happen on a background goroutine. If that write is still in
+// without blocking the session. The engine hands it a Snapshot at a round
+// boundary: the runner state it encodes there, plus the pre-encoded trial
+// log; streaming those pieces to disk, the fsync, and the atomic rename
+// happen on a background goroutine. If that write is still in
 // flight when the next one is due, the new snapshot is skipped rather than
 // queued — a checkpoint is a whole-state document, so the freshest one to
 // finish wins and a backlog would only delay it.

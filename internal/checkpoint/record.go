@@ -104,6 +104,29 @@ func writeRecord(w io.Writer, payload []byte) error {
 	return err
 }
 
+// writeRecordParts frames a payload given as the ordered parts emit
+// yields, without joining them: a first pass sums the length and CRC32
+// across the parts, a second writes the frame and then each part. The
+// bytes are those writeRecord writes for the concatenated payload.
+func writeRecordParts(w io.Writer, emit func(part func([]byte))) error {
+	var n int
+	var crc uint32
+	emit(func(b []byte) {
+		n += len(b)
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+	})
+	var h [recordHeaderSize]byte
+	binary.LittleEndian.PutUint32(h[:4], uint32(n))
+	binary.LittleEndian.PutUint32(h[4:], crc)
+	_, err := w.Write(h[:])
+	emit(func(b []byte) {
+		if err == nil && len(b) > 0 {
+			_, err = w.Write(b)
+		}
+	})
+	return err
+}
+
 // readRecord reads the next framed payload. A clean end of stream returns
 // io.EOF; a torn header, truncated payload, implausible length, or CRC
 // mismatch returns an error wrapping ErrCorrupt, which journal recovery

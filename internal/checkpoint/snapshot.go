@@ -119,6 +119,11 @@ type EpochRecord struct {
 // by runner.StateSnapshotter. Epochs lists the re-tuning epochs a drifting
 // session has opened (empty for stationary sessions, keeping their
 // snapshots loadable by older builds — and older snapshots loadable here).
+//
+// A session does not fill Trials: it attaches its pre-encoded TrialLog
+// with SetTrialLog, and Encode streams those encodings instead. The bytes
+// written are the same either way — json.Marshal of the snapshot with
+// Trials filled in.
 type Snapshot struct {
 	Meta        Meta               `json:"meta"`
 	Trial       int                `json:"trial"`   // trials completed when the snapshot was taken
@@ -129,18 +134,131 @@ type Snapshot struct {
 	Trials      []TrialRecord      `json:"trials"`
 	Epochs      []EpochRecord      `json:"epochs,omitempty"`
 	RunnerState json.RawMessage    `json:"runner_state,omitempty"`
+
+	// log, when set, is the encoded trial log Encode writes in place of
+	// Trials.
+	log *TrialLog
+}
+
+// TrialLog is a session's delivered-trial log in encoded form. Each record
+// is marshaled once, when the session appends it, so a checkpoint's
+// encoding work is proportional to the trials delivered since the last
+// one rather than to the whole session. Stored encodings are never
+// modified, which lets a snapshot taken with SetTrialLog be encoded on
+// another goroutine while the session keeps appending. Append and
+// SetTrialLog must not run concurrently. The zero value is an empty log.
+type TrialLog struct {
+	recs [][]byte
+	err  error // first encoding failure; every later snapshot reports it
+}
+
+// Append encodes rec and adds it to the log. A record that cannot be
+// encoded (a NaN measurement) poisons the log: every snapshot taken from
+// it from then on fails to encode, as json.Marshal of the whole snapshot
+// would.
+func (l *TrialLog) Append(rec TrialRecord) {
+	if l.err != nil {
+		return
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		l.err = err
+		return
+	}
+	l.recs = append(l.recs, b)
+}
+
+// SetTrialLog makes l's records, as of this call, the snapshot's trial
+// log; Encode ignores Trials from then on. Records l appends later are not
+// part of this snapshot.
+func (s *Snapshot) SetTrialLog(l *TrialLog) {
+	n := len(l.recs)
+	s.log = &TrialLog{recs: l.recs[:n:n], err: l.err}
 }
 
 // Encode writes the snapshot to w: header, then one framed JSON record.
 func (s *Snapshot) Encode(w io.Writer) error {
-	payload, err := json.Marshal(s)
+	parts, err := s.payload()
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode snapshot: %w", err)
 	}
 	if err := writeHeader(w); err != nil {
 		return err
 	}
-	return writeRecord(w, payload)
+	return writeRecordParts(w, parts)
+}
+
+// Fixed JSON fragments of the streamed snapshot encoding.
+var (
+	jsonNull       = []byte("null")
+	jsonOpen       = []byte("[")
+	jsonComma      = []byte(",")
+	jsonClose      = []byte("]")
+	jsonEnd        = []byte("}")
+	trialsNullTail = []byte(`"trials":null}`)
+)
+
+// payload returns the snapshot record's JSON as the ordered parts it is
+// written from. Without a trial log it is json.Marshal of the snapshot in
+// one part. With one, no part is the whole payload: the small head and
+// tail are marshaled per write, the trial records and runner state are
+// written from their stored encodings, and nothing is re-compacted.
+func (s *Snapshot) payload() (func(part func([]byte)), error) {
+	if s.log == nil {
+		b, err := json.Marshal(s)
+		if err != nil {
+			return nil, err
+		}
+		return func(part func([]byte)) { part(b) }, nil
+	}
+	if s.log.err != nil {
+		return nil, s.log.err
+	}
+	// Marshaling the head fields alone ends the object with a null trial
+	// log; cut there and splice in the stored records.
+	head, err := json.Marshal(&Snapshot{
+		Meta: s.Meta, Trial: s.Trial, Elapsed: s.Elapsed,
+		BestKey: s.BestKey, BestScore: s.BestScore, Baseline: s.Baseline,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasSuffix(head, trialsNullTail) {
+		return nil, fmt.Errorf("unexpected snapshot head %q", head)
+	}
+	head = head[:len(head)-len(`null}`)]
+	var tail []byte
+	if len(s.Epochs) > 0 {
+		epochs, err := json.Marshal(s.Epochs)
+		if err != nil {
+			return nil, err
+		}
+		tail = append([]byte(`,"epochs":`), epochs...)
+	}
+	if len(s.RunnerState) > 0 {
+		// SnapshotState already wrote the bytes json.Marshal would (see
+		// runner.StateSnapshotter), so they go out verbatim.
+		tail = append(tail, `,"runner_state":`...)
+	}
+	recs, state := s.log.recs, s.RunnerState
+	return func(part func([]byte)) {
+		part(head)
+		if recs == nil {
+			part(jsonNull)
+		} else {
+			part(jsonOpen)
+			for i, r := range recs {
+				if i > 0 {
+					part(jsonComma)
+				}
+				part(r)
+			}
+			part(jsonClose)
+		}
+		part(tail)
+		part(state)
+		part(jsonEnd)
+	}, nil
 }
 
 // Decode reads a snapshot written by Encode, failing closed on anything
@@ -186,8 +304,12 @@ func (s *Snapshot) Save(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := s.Encode(f); err != nil {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	if err := s.Encode(bw); err != nil {
 		return cleanup(err)
+	}
+	if err := bw.Flush(); err != nil {
+		return cleanup(fmt.Errorf("checkpoint: save: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: save: sync: %w", err))

@@ -62,8 +62,9 @@ type robState struct {
 
 // ckState is the session's durability bookkeeping, non-nil only when
 // checkpointing or resuming. log accumulates every delivered measurement in
-// delivery order; replay maps dispatch seq → recorded trial for the resume
-// prefix, satisfied without touching the runner. epochs accumulates the
+// delivery order, each encoded once as it is appended (only when there is a
+// keeper to write it); replay maps dispatch seq → recorded trial for the
+// resume prefix, satisfied without touching the runner. epochs accumulates the
 // re-tuning epochs opened so far (with the warm-start priors each used);
 // epochReplay maps epoch index → recorded epoch so a resumed session
 // rebuilds each epoch's searcher from the original priors verbatim.
@@ -72,7 +73,7 @@ type ckState struct {
 	meta        checkpoint.Meta
 	base        runner.Measurement
 	snap        runner.StateSnapshotter
-	log         []checkpoint.TrialRecord
+	log         checkpoint.TrialLog
 	replay      map[int]checkpoint.TrialRecord
 	epochs      []checkpoint.EpochRecord
 	epochReplay map[int]checkpoint.EpochRecord
@@ -89,20 +90,21 @@ func (s *Session) writeCheckpoint(ck *ckState, ctx *Context) {
 		s.Telemetry.Counter("checkpoint_snapshot_errors_total").Inc()
 		return
 	}
-	// The full slice expression freezes the log's current extent; delivered
-	// records are never rewritten, so the background encode can read them
-	// while the session keeps appending.
-	ck.keeper.Write(&checkpoint.Snapshot{
+	snap := &checkpoint.Snapshot{
 		Meta:        ck.meta,
 		Trial:       ctx.Trial,
 		Elapsed:     ctx.Elapsed,
 		BestKey:     ctx.Best.Key(),
 		BestScore:   ctx.BestWall,
 		Baseline:    ck.base,
-		Trials:      ck.log[:len(ck.log):len(ck.log)],
 		Epochs:      ck.epochs[:len(ck.epochs):len(ck.epochs)],
 		RunnerState: state,
-	})
+	}
+	// SetTrialLog freezes the log's current extent; delivered records are
+	// never rewritten, so the background encode can read them while the
+	// session keeps appending.
+	snap.SetTrialLog(&ck.log)
+	ck.keeper.Write(snap)
 }
 
 // runLoop is the session's evaluation engine: a bulk-synchronous batched
@@ -373,8 +375,8 @@ func (s *Session) runLoop(runCtx context.Context, ctx *Context, out *Outcome,
 			slotFree[tr.slot] = tr.start + tr.eff
 			ctx.Trial++
 			ctx.Elapsed = slotFree[tr.slot]
-			if ck != nil {
-				ck.log = append(ck.log, checkpoint.TrialRecord{Seq: tr.seq, Key: tr.key, M: tr.m})
+			if ck != nil && ck.keeper != nil {
+				ck.log.Append(checkpoint.TrialRecord{Seq: tr.seq, Key: tr.key, M: tr.m})
 			}
 			s.Telemetry.Counter("session_trials_total").Inc()
 			if tr.m.FromCache {

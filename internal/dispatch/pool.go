@@ -36,6 +36,12 @@ import (
 // runs. Fleet membership and in-flight ownership are durably journaled
 // via AttachFleet. Safe for concurrent use.
 type Pool struct {
+	// State holds the virtual clock, noise-rep indices, and cache — the
+	// in-process runner's own, so snapshots are byte-compatible. Fleet
+	// state is deliberately absent: it lives in its own journal and is not
+	// a determinism input.
+	runner.State
+
 	// Retry bounds re-attempts of transiently failed measurements; the
 	// zero value means the defaults (see runner.RetryPolicy).
 	Retry runner.RetryPolicy
@@ -89,9 +95,6 @@ type Pool struct {
 	nodes   []*node
 	fleet   *Fleet
 	orphans []string
-	elapsed runner.VirtualClock
-	reps    map[string]int
-	cache   map[string]runner.Measurement
 	// phase and shift support phase-shifting workloads (runner.PhaseSetter):
 	// the shift travels with every request so any node derives the shifted
 	// profile itself. Per-key state above is scoped through runner.PhaseKey,
@@ -156,8 +159,6 @@ func newPool(prof *workload.Profile, evs []Evaluator) (*Pool, error) {
 		Noise:   -1,
 		profile: prof,
 		now:     time.Now,
-		reps:    make(map[string]int),
-		cache:   make(map[string]runner.Measurement),
 	}
 	p.TimeoutSeconds = 6 * jvmsim.New().DefaultWall(flags.NewRegistry(), prof, 1)
 	seen := make(map[string]bool)
@@ -174,13 +175,6 @@ func newPool(prof *workload.Profile, evs []Evaluator) (*Pool, error) {
 
 // Workload implements runner.Runner.
 func (p *Pool) Workload() *workload.Profile { return p.profile }
-
-// Elapsed implements runner.Runner.
-func (p *Pool) Elapsed() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.elapsed.Seconds()
-}
 
 // DeterminismFingerprint implements the core engine's fingerprint hook.
 // The pool is byte-equivalent to the in-process runner by construction
@@ -550,16 +544,13 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) ru
 	// while a Measure is in flight.
 	phase, shift := p.phase, p.shift
 	sk := runner.PhaseKey(phase, key)
+	p.mu.Unlock()
 	if !p.DisableCache {
-		if m, ok := p.cache[sk]; ok && (m.Failed || len(m.Walls) >= reps) {
-			p.mu.Unlock()
-			m.FromCache = true
-			m.CostSeconds = 0
+		if m, ok := p.Cached(sk, reps); ok {
 			runner.NoteCacheHit(p.Telemetry, p.Trace, key)
 			return m
 		}
 	}
-	p.mu.Unlock()
 
 	// ExplicitArgs, not CommandLine: the minimal rendering drops explicit
 	// assignments that equal a flag's default, and the simulated VM — like
@@ -567,13 +558,7 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) ru
 	// rather than defaulted. The transport form must carry explicitness.
 	args := cfg.ExplicitArgs()
 	m := p.Retry.Run(func(n int) runner.Measurement {
-		// Each attempt draws fresh noise-rep indices so a retried run is a
-		// genuinely new measurement, not a replay.
-		p.mu.Lock()
-		repBase := p.reps[sk]
-		p.reps[sk] = repBase + reps
-		p.mu.Unlock()
-
+		repBase := p.Reserve(sk, reps)
 		req := &TrialRequest{
 			Key: key, Benchmark: p.profile.Name, Args: args,
 			RepBase: repBase, Reps: reps,
@@ -589,12 +574,7 @@ func (p *Pool) measure(cfg *flags.Config, reps int, place func(*TrialRequest) ru
 	})
 	runner.NoteMeasured(p.Telemetry, p.Trace, key, m)
 
-	p.mu.Lock()
-	p.elapsed.Charge(m.CostSeconds)
-	if !p.DisableCache && !m.Transient {
-		p.cache[sk] = m
-	}
-	p.mu.Unlock()
+	p.Settle(sk, m, !p.DisableCache)
 	return m
 }
 
@@ -770,26 +750,4 @@ func (p *Pool) Close() error {
 		<-done
 	}
 	return f.Close()
-}
-
-// SnapshotState implements runner.StateSnapshotter, byte-for-byte the
-// in-process runner's serialization. Fleet state is deliberately absent —
-// it lives in its own journal and is not a determinism input.
-func (p *Pool) SnapshotState() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return runner.MarshalState(p.elapsed.Seconds(), p.reps, p.cache)
-}
-
-// RestoreState implements runner.StateSnapshotter.
-func (p *Pool) RestoreState(data []byte) error {
-	elapsed, reps, cache, err := runner.UnmarshalState(data)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.elapsed.Set(elapsed)
-	p.reps, p.cache = reps, cache
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -126,7 +127,7 @@ func postShed(t *testing.T, url, client string, req TuneRequest) (int, string, s
 func TestOverloadBurstShedsSubmissionsNotControl(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	stubTune(t, func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -136,8 +137,8 @@ func TestOverloadBurstShedsSubmissionsNotControl(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 1, MaxJobs: 64, MaxQueueDepth: 2})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 1, MaxJobs: 64, MaxQueueDepth: 2}, tune))
 
 	running := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	<-started // the worker holds the only slot; everything below queues
@@ -211,10 +212,10 @@ func TestOverloadBurstShedsSubmissionsNotControl(t *testing.T) {
 }
 
 func TestPerClientRateLimitIsolatesClients(t *testing.T) {
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 1, MaxJobs: 64, ClientRatePerSec: 1, ClientBurst: 1})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 1, MaxJobs: 64, ClientRatePerSec: 1, ClientBurst: 1}, tune))
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s.admit = newAdmission(1, 1, clk.now)
 
@@ -244,10 +245,10 @@ func TestPerClientRateLimitIsolatesClients(t *testing.T) {
 }
 
 func TestShutdownShedsWithEnvelope(t *testing.T) {
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newTestServer(t)
+	}
+	s, ts := newBoundedServer(t, withTune(DefaultConfig(), tune))
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -266,13 +267,13 @@ func TestShutdownShedsWithEnvelope(t *testing.T) {
 // journal stays bounded.
 func TestJournalCompactionAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 7}, nil
-	})
+	}
 	// A 1-byte threshold compacts after every append — the most hostile
 	// cadence the trigger supports.
 	cfg := Config{MaxConcurrent: 1, MaxJobs: 2, JournalCompactBytes: 1}
-	s, ts := newDurableServer(t, dir, cfg)
+	s, ts := newDurableServer(t, dir, withTune(cfg, tune))
 
 	var last int
 	for i := 0; i < 6; i++ { // MaxJobs 2: most of these evict a predecessor
@@ -289,7 +290,7 @@ func TestJournalCompactionAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, ts2 := newDurableServer(t, dir, cfg)
+	s2, ts2 := newDurableServer(t, dir, withTune(cfg, tune))
 	if job := pollJob(t, ts2.URL, last); job.State != "done" || job.Result == nil || job.Result.BestWall != 7 {
 		t.Fatalf("job replayed from the compacted journal = %+v", job)
 	}
@@ -303,11 +304,45 @@ func TestJournalCompactionAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A third generation proves the watermark survives its own rewrite.
-	s3, ts3 := newDurableServer(t, dir, cfg)
+	s3, ts3 := newDurableServer(t, dir, withTune(cfg, tune))
 	if id := submitAsync(t, ts3.URL, TuneRequest{Benchmark: "fop"}); id != last+2 {
 		t.Fatalf("third-generation submission got id %d, want %d", id, last+2)
 	}
 	s3.Wait()
+}
+
+// TestCompactionKeepsFreshVerdict pins the lost-verdict bug: with a
+// threshold that compacts on every append, the append of a job's own
+// verdict triggers the rewrite. The rewrite must already count the job as
+// finished, or the compacted journal keeps its submission without its
+// verdict and the restarted farm runs it again.
+func TestCompactionKeepsFreshVerdict(t *testing.T) {
+	dir := t.TempDir()
+	tune := func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 5}, nil
+	}
+	cfg := Config{MaxConcurrent: 1, MaxJobs: 4, JournalCompactBytes: 1}
+	s, ts := newDurableServer(t, dir, withTune(cfg, tune))
+	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
+	s.Wait()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	rerun := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+		t.Error("finished job ran again after restart")
+		return nil, errors.New("re-run")
+	}
+	s2, ts2 := newDurableServer(t, dir, withTune(cfg, rerun))
+	if n := s2.reg.Counter("httpapi_jobs_requeued_total").Value(); n != 0 {
+		t.Fatalf("restart requeued %d finished job(s)", n)
+	}
+	if job := pollJob(t, ts2.URL, id); job.State != "done" || job.Result == nil || job.Result.BestWall != 5 {
+		t.Fatalf("finished job after restart = %+v, want done with its result", job)
+	}
+	if err := s2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCompactionCrashLeavesJournalAuthoritative simulates dying between
@@ -316,10 +351,10 @@ func TestJournalCompactionAcrossRestart(t *testing.T) {
 // it, replaying the (uncompacted) journal as if nothing happened.
 func TestCompactionCrashLeavesJournalAuthoritative(t *testing.T) {
 	dir := t.TempDir()
-	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 3}, nil
-	})
-	s, ts := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 8})
+	}
+	s, ts := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 8}, tune))
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	s.Wait()
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -331,7 +366,7 @@ func TestCompactionCrashLeavesJournalAuthoritative(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, ts2 := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 8})
+	s2, ts2 := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 8}, tune))
 	if job := pollJob(t, ts2.URL, id); job.State != "done" || job.Result == nil || job.Result.BestWall != 3 {
 		t.Fatalf("recovery with a stranded compaction temp lost the job: %+v", job)
 	}

@@ -83,10 +83,10 @@ func TestTuneDriftValidation(t *testing.T) {
 // Go-cased keys made the reason invisible to JSON clients).
 func TestDegradedReasonVisibleInPoll(t *testing.T) {
 	const reason = "real budget exhausted after 120.0s"
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{Benchmark: "fop", Degraded: true, DegradedReason: reason}, nil
-	})
-	s, ts := newTestServer(t)
+	}
+	s, ts := newBoundedServer(t, withTune(DefaultConfig(), tune))
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	s.Wait()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + itoa(id))
@@ -129,11 +129,11 @@ func TestDurableLegacyJournalDegradedReason(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		t.Error("terminal legacy job was re-run")
 		return nil, nil
-	})
-	s, ts := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 4})
+	}
+	s, ts := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 4}, tune))
 	defer s.Shutdown(context.Background())
 	job := pollJob(t, ts.URL, 1)
 	if job.State != "done" || job.Result == nil {

@@ -70,6 +70,9 @@ func NewDurableServer(cfg Config) (*Server, error) {
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = DefaultConfig().MaxJobs
 	}
+	if cfg.tune == nil {
+		cfg.tune = hotspot.TuneContext
+	}
 	s := &Server{
 		mux:      http.NewServeMux(),
 		cfg:      cfg,

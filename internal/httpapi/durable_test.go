@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,10 +31,10 @@ func newDurableServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.
 
 func TestDurableServerReplayServesResults(t *testing.T) {
 	dir := t.TempDir()
-	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 42}, nil
-	})
-	s, ts := newDurableServer(t, dir, Config{MaxConcurrent: 2, MaxJobs: 8})
+	}
+	s, ts := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 2, MaxJobs: 8}, tune))
 	first := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop", Seed: 1})
 	second := submitAsync(t, ts.URL, TuneRequest{Benchmark: "h2", Seed: 2})
 	s.Wait()
@@ -44,11 +45,16 @@ func TestDurableServerReplayServesResults(t *testing.T) {
 
 	// A second server over the same state dir serves the finished results
 	// from disk — without running anything.
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
-		t.Error("replayed terminal job was re-run")
-		return nil, errors.New("re-run")
-	})
-	s2, ts2 := newDurableServer(t, dir, Config{MaxConcurrent: 2, MaxJobs: 8})
+	var replaying atomic.Bool
+	replaying.Store(true)
+	tune = func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+		if replaying.Load() {
+			t.Error("replayed terminal job was re-run")
+			return nil, errors.New("re-run")
+		}
+		return &hotspot.Result{Benchmark: opts.Benchmark}, nil
+	}
+	s2, ts2 := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 2, MaxJobs: 8}, tune))
 	got := pollJob(t, ts2.URL, first)
 	if got.State != "done" || got.Result == nil || got.Result.BestWall != 42 {
 		t.Fatalf("replayed job = %+v, want done with the stored result", got)
@@ -64,9 +70,7 @@ func TestDurableServerReplayServesResults(t *testing.T) {
 
 	// Job ids keep counting from where the dead process stopped: a replayed
 	// id can never be reissued to a new submission.
-	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
-		return &hotspot.Result{Benchmark: opts.Benchmark}, nil
-	})
+	replaying.Store(false)
 	if id := submitAsync(t, ts2.URL, TuneRequest{Benchmark: "fop"}); id != second+1 {
 		t.Fatalf("post-restart submission got id %d, want %d", id, second+1)
 	}
@@ -92,7 +96,7 @@ func TestDurableServerCrashResumesJobByteIdentical(t *testing.T) {
 	// its checkpoint behind) and the job then hangs — a wedged worker the
 	// crash takes down with the server.
 	started := make(chan struct{}, 1)
-	stubTune(t, func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -108,9 +112,9 @@ func TestDurableServerCrashResumesJobByteIdentical(t *testing.T) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}
 	cfg := Config{MaxConcurrent: 1, MaxJobs: 8, CheckpointEveryTrials: 1}
-	s, ts := newDurableServer(t, dir, cfg)
+	s, ts := newDurableServer(t, dir, withTune(cfg, tune))
 	id := submitAsync(t, ts.URL, req)
 	<-started
 	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("job-%d.ckpt", id))); err != nil {
@@ -120,8 +124,8 @@ func TestDurableServerCrashResumesJobByteIdentical(t *testing.T) {
 
 	// Second life: the real tuner. The journal replays the submission, the
 	// job re-queues, and the session resumes from the checkpoint.
-	stubTune(t, hotspot.TuneContext)
-	s2, ts2 := newDurableServer(t, dir, cfg)
+	tune = hotspot.TuneContext
+	s2, ts2 := newDurableServer(t, dir, withTune(cfg, tune))
 	s2.Wait()
 	job := pollJob(t, ts2.URL, id)
 	if job.State != "done" {
@@ -141,12 +145,12 @@ func TestDurableServerCrashResumesJobByteIdentical(t *testing.T) {
 func TestDurableServerShutdownRequeuesStragglers(t *testing.T) {
 	dir := t.TempDir()
 	started := make(chan struct{}, 1)
-	stubTune(t, func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
-	s, ts := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 4})
+	}
+	s, ts := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 4}, tune))
 	running := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop", Seed: 7})
 	queued := submitAsync(t, ts.URL, TuneRequest{Benchmark: "h2", Seed: 8})
 	<-started
@@ -158,10 +162,10 @@ func TestDurableServerShutdownRequeuesStragglers(t *testing.T) {
 
 	// The interrupted jobs were NOT journaled as canceled: the restarted
 	// server owes them a real run.
-	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune = func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 7}, nil
-	})
-	s2, ts2 := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 4})
+	}
+	s2, ts2 := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 4}, tune))
 	s2.Wait()
 	for _, id := range []int{running, queued} {
 		if job := pollJob(t, ts2.URL, id); job.State != "done" || job.Result == nil {
@@ -172,10 +176,10 @@ func TestDurableServerShutdownRequeuesStragglers(t *testing.T) {
 
 func TestDurableServerSalvagesTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
-	stubTune(t, func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(_ context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{Benchmark: opts.Benchmark, BestWall: 9}, nil
-	})
-	s, ts := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 4})
+	}
+	s, ts := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 4}, tune))
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	s.Wait()
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -194,7 +198,7 @@ func TestDurableServerSalvagesTornJournalTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, ts2 := newDurableServer(t, dir, Config{MaxConcurrent: 1, MaxJobs: 4})
+	s2, ts2 := newDurableServer(t, dir, withTune(Config{MaxConcurrent: 1, MaxJobs: 4}, tune))
 	defer s2.Shutdown(context.Background())
 	if job := pollJob(t, ts2.URL, id); job.State != "done" || job.Result == nil || job.Result.BestWall != 9 {
 		t.Fatalf("job lost to a torn journal tail: %+v", job)

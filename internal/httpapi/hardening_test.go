@@ -15,12 +15,10 @@ import (
 	"repro/hotspot"
 )
 
-// stubTune swaps the server's tuning function for the test's lifetime.
-func stubTune(t *testing.T, fn func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error)) {
-	t.Helper()
-	old := tuneFn
-	tuneFn = fn
-	t.Cleanup(func() { tuneFn = old })
+// withTune returns cfg with the server's tuning function replaced by fn.
+func withTune(cfg Config, fn tuneFunc) Config {
+	cfg.tune = fn
+	return cfg
 }
 
 func newBoundedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -69,10 +67,10 @@ func pollJob(t *testing.T, url string, id int) Job {
 }
 
 func TestPanickingJobFailsWithoutKillingServer(t *testing.T) {
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		panic("searcher exploded")
-	})
-	s, ts := newTestServer(t)
+	}
+	s, ts := newBoundedServer(t, withTune(DefaultConfig(), tune))
 
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	s.Wait()
@@ -94,12 +92,12 @@ func TestPanickingJobFailsWithoutKillingServer(t *testing.T) {
 
 func TestCancelRunningJob(t *testing.T) {
 	started := make(chan struct{}, 1)
-	stubTune(t, func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
-	s, ts := newTestServer(t)
+	}
+	s, ts := newBoundedServer(t, withTune(DefaultConfig(), tune))
 
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	<-started
@@ -119,15 +117,15 @@ func TestCancelRunningJob(t *testing.T) {
 
 func TestCancelQueuedJob(t *testing.T) {
 	release := make(chan struct{})
-	stubTune(t, func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 		return &hotspot.Result{Benchmark: opts.Benchmark}, nil
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 1, MaxJobs: 8})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 1, MaxJobs: 8}, tune))
 
 	first := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	second := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
@@ -150,7 +148,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestConcurrencyCapHolds(t *testing.T) {
 	var cur, max int64
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		c := atomic.AddInt64(&cur, 1)
 		for {
 			m := atomic.LoadInt64(&max)
@@ -161,8 +159,8 @@ func TestConcurrencyCapHolds(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		atomic.AddInt64(&cur, -1)
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 2, MaxJobs: 64})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 2, MaxJobs: 64}, tune))
 
 	for i := 0; i < 8; i++ {
 		submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
@@ -174,10 +172,10 @@ func TestConcurrencyCapHolds(t *testing.T) {
 }
 
 func TestJobStoreEvictsOldestFinished(t *testing.T) {
-	stubTune(t, func(context.Context, hotspot.Options) (*hotspot.Result, error) {
+	tune := func(context.Context, hotspot.Options) (*hotspot.Result, error) {
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 2, MaxJobs: 3})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 2, MaxJobs: 3}, tune))
 
 	for i := 0; i < 3; i++ {
 		submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
@@ -205,14 +203,14 @@ func TestJobStoreEvictsOldestFinished(t *testing.T) {
 
 func TestFullStoreOfActiveJobsRejects(t *testing.T) {
 	release := make(chan struct{})
-	stubTune(t, func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 1, MaxJobs: 2})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 1, MaxJobs: 2}, tune))
 
 	submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"}) // running
 	submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"}) // queued
@@ -235,7 +233,7 @@ func TestFullStoreOfActiveJobsRejects(t *testing.T) {
 func TestJobReportsLiveProgress(t *testing.T) {
 	reported := make(chan struct{})
 	release := make(chan struct{})
-	stubTune(t, func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, opts hotspot.Options) (*hotspot.Result, error) {
 		opts.OnProgress(hotspot.Progress{Trials: 1, ElapsedMinutes: 0.5, BestWall: 10})
 		opts.OnProgress(hotspot.Progress{Trials: 7, ElapsedMinutes: 3, BestWall: 9, ImprovementPct: 10})
 		close(reported)
@@ -244,8 +242,8 @@ func TestJobReportsLiveProgress(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return &hotspot.Result{}, nil
-	})
-	s, ts := newTestServer(t)
+	}
+	s, ts := newBoundedServer(t, withTune(DefaultConfig(), tune))
 
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	<-reported
@@ -262,12 +260,12 @@ func TestJobReportsLiveProgress(t *testing.T) {
 
 func TestShutdownRejectsAndCancelsStragglers(t *testing.T) {
 	started := make(chan struct{}, 1)
-	stubTune(t, func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
+	tune := func(ctx context.Context, _ hotspot.Options) (*hotspot.Result, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
-	s, ts := newBoundedServer(t, Config{MaxConcurrent: 1, MaxJobs: 4})
+	}
+	s, ts := newBoundedServer(t, withTune(Config{MaxConcurrent: 1, MaxJobs: 4}, tune))
 
 	id := submitAsync(t, ts.URL, TuneRequest{Benchmark: "fop"})
 	<-started

@@ -256,14 +256,18 @@ type Config struct {
 	// TuneRequest.Transfer warm-start their search from it and record
 	// their winners into it. Empty disables transfer for every job.
 	TransferDir string
+
+	// tune replaces the tuning function; nil means hotspot.TuneContext.
+	// Tests substitute slow, failing, or panicking sessions here, per
+	// server, before any worker starts.
+	tune tuneFunc
 }
 
 // DefaultConfig returns the default resource bounds.
 func DefaultConfig() Config { return Config{MaxConcurrent: 4, MaxJobs: 256} }
 
-// tuneFn runs one tuning session. It is a variable so tests can substitute
-// slow, failing, or panicking implementations.
-var tuneFn = hotspot.TuneContext
+// tuneFunc runs one tuning session.
+type tuneFunc func(context.Context, hotspot.Options) (*hotspot.Result, error)
 
 // Server is the HTTP front-end. Create with NewServer or NewServerWith; it
 // implements http.Handler.
@@ -443,23 +447,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// markTerminalLocked records a job's arrival in a terminal state for LRU
-// eviction and releases its Wait ticket. Caller holds s.mu; the job's State
-// must already be terminal, and each job passes through exactly once.
-func (s *Server) markTerminalLocked(job *Job) {
-	s.doneOrder = append(s.doneOrder, job.ID)
-	s.inflight.Done()
-}
-
-// jobTerminalLocked is markTerminalLocked plus the farm accounting (the
-// per-verdict counter and the lifecycle trace event) and, on a durable
-// server, the journal verdict. A cancellation flagged as an interruption
-// (shutdown deadline, simulated crash) is deliberately NOT journaled and
-// keeps its checkpoint: the restarted server re-queues and resumes it.
-// Caller holds s.mu.
+// jobTerminalLocked records a job's arrival in a terminal state: the farm
+// accounting (the per-verdict counter and the lifecycle trace event), the
+// LRU eviction order, the journal verdict on a durable server, and the
+// job's Wait ticket. A cancellation flagged as an interruption (shutdown
+// deadline, simulated crash) is deliberately NOT journaled and keeps its
+// checkpoint: the restarted server re-queues and resumes it. Caller holds
+// s.mu; the job's State must already be terminal, and each job passes
+// through exactly once.
 func (s *Server) jobTerminalLocked(job *Job) {
 	s.reg.Counter(`httpapi_jobs_total{state="` + job.State + `"}`).Inc()
 	s.noteJob(job.ID, job.State)
+	// The job joins doneOrder before its verdict is appended: an append
+	// that crosses the compaction threshold rewrites the journal from
+	// doneOrder, and a job missing from it would lose its verdict there
+	// and run again after a restart.
+	s.doneOrder = append(s.doneOrder, job.ID)
 	interrupted := s.crashed || (job.requeue && job.State == "canceled")
 	if !interrupted {
 		_ = s.appendJournal(journalRecord{
@@ -467,7 +470,7 @@ func (s *Server) jobTerminalLocked(job *Job) {
 		})
 		s.removeJobCheckpoint(job.ID)
 	}
-	s.markTerminalLocked(job)
+	s.inflight.Done()
 }
 
 // evictLocked drops finished jobs, oldest first, until the store has room.
@@ -566,7 +569,7 @@ func (s *Server) runJob(job *Job) {
 		opts.TransferK = req.TransferK
 	}
 	s.durableOptions(&opts, job.ID)
-	res, err := tuneFn(ctx, opts)
+	res, err := s.cfg.tune(ctx, opts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {

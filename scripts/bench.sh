@@ -50,6 +50,11 @@ trap 'rm -f "$OUT"' EXIT
 		./internal/drift
 	go test -run '^$' -bench '^BenchmarkEpochRetune$' -benchtime 1x -count 3 \
 		./internal/core
+	# One session checkpoint at 100 and at 1,000 delivered trials: the
+	# runner snapshot plus the record encode. Its cost should track the
+	# bytes written, not re-encode the session.
+	go test -run '^$' -bench '^BenchmarkCheckpointWrite$' -benchmem -benchtime 1s \
+		./internal/checkpoint
 } | tee /dev/stderr >"$OUT"
 
 latest="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)"
