@@ -62,8 +62,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("collector: %s\n", col)
-		for _, n := range tree.ActiveFlags(cfg) {
-			fmt.Println(n)
+		for _, id := range tree.ActiveFlags(cfg) {
+			fmt.Println(reg.FlagByID(id).Name)
 		}
 	case *space:
 		fmt.Println(experiments.RenderSpace(experiments.RunSpace()))

@@ -662,7 +662,7 @@ func buildPool(opts Options, prof *workload.Profile) (*dispatch.Pool, error) {
 		sim.NoiseRelStdDev = opts.Noise
 		pool.Noise = opts.Noise
 	}
-	pool.TimeoutSeconds = 6 * sim.DefaultWall(flags.NewRegistry(), prof, 1)
+	pool.TimeoutSeconds = sim.DefaultTimeout(prof)
 	return pool, nil
 }
 

@@ -24,12 +24,12 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			prof, _ := workload.ByName("h2")
 			r := runner.NewInProcess(jvmsim.New(), prof)
 			reg := flags.NewRegistry()
-			names := reg.TunableNames()[:12]
+			ids := reg.TunableIDs()[:12]
 			rng := rand.New(rand.NewSource(1))
 			var log TrialLog
 			for i := 0; i < n; i++ {
 				cfg := flags.NewConfig(reg)
-				flags.RandomizeFlags(cfg, names, rng)
+				flags.RandomizeFlags(cfg, ids, rng)
 				m := r.Measure(cfg, 3)
 				log.Append(TrialRecord{Seq: i, Key: m.Key, M: m})
 			}

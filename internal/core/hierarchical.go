@@ -53,17 +53,27 @@ type pendingRef struct {
 }
 
 type branchCombo struct {
-	label string
-	apply func(c *flags.Config)
-	base  *flags.Config
-	wall  float64
-	seen  bool
+	label  string
+	apply  func(c *flags.Config)
+	base   *flags.Config
+	active []flags.ID // tunable flags active under base; see activeFlags
+	wall   float64
+	seen   bool
+}
+
+// activeFlags returns the combo's active set, resolving it on first use.
+// Every config the searcher derives from a combo keeps its branch
+// selection, so one resolution serves the beam and every exploration.
+func (c *branchCombo) activeFlags(tree *hierarchy.Tree) []flags.ID {
+	if c.active == nil {
+		c.active = tree.ActiveFlags(c.base)
+	}
+	return c.active
 }
 
 type beam struct {
-	combo  *branchCombo
-	active []string // tunable flags active under this branch
-	pop    []individual
+	combo *branchCombo
+	pop   []individual
 }
 
 // NewHierarchical returns the paper's searcher with default parameters.
@@ -203,9 +213,8 @@ func (h *Hierarchical) finishSurvey(ctx *Context) {
 	}
 	for _, c := range ranked[:n] {
 		h.beams = append(h.beams, &beam{
-			combo:  c,
-			active: ctx.Tree.ActiveFlags(c.base),
-			pop:    []individual{{cfg: c.base, wall: c.wall}},
+			combo: c,
+			pop:   []individual{{cfg: c.base, wall: c.wall}},
 		})
 	}
 	// Degenerate case: every combo failed (should not happen — defaults
@@ -213,9 +222,8 @@ func (h *Hierarchical) finishSurvey(ctx *Context) {
 	if len(h.beams) == 0 {
 		def := flags.NewConfig(ctx.Reg)
 		h.beams = append(h.beams, &beam{
-			combo:  &branchCombo{label: "default", apply: func(*flags.Config) {}, base: def},
-			active: ctx.Tree.ActiveFlags(def),
-			pop:    []individual{{cfg: def, wall: ctx.DefaultWall}},
+			combo: &branchCombo{label: "default", apply: func(*flags.Config) {}, base: def},
+			pop:   []individual{{cfg: def, wall: ctx.DefaultWall}},
 		})
 	}
 }
@@ -243,12 +251,13 @@ func (h *Hierarchical) pickBeam(ctx *Context) *beam {
 // Proposals are validated against the hierarchy's dependency rules before
 // they are ever launched; invalid mutants are repaired by re-rolling.
 func (h *Hierarchical) refineProposal(ctx *Context, b *beam) *flags.Config {
+	active := b.combo.activeFlags(ctx.Tree)
 	for attempt := 0; attempt < 8; attempt++ {
 		var child *flags.Config
 		if len(b.pop) >= 4 && ctx.Rng.Float64() < 0.4 {
 			p1 := b.pop[ctx.Rng.Intn(len(b.pop))]
 			p2 := b.pop[ctx.Rng.Intn(len(b.pop))]
-			child = flags.Crossover(p1.cfg, p2.cfg, b.active, ctx.Rng)
+			child = flags.Crossover(p1.cfg, p2.cfg, active, ctx.Rng)
 			// Crossover only copies active flags; reapply the branch
 			// selection so the child stays inside the beam.
 			b.combo.apply(child)
@@ -258,7 +267,7 @@ func (h *Hierarchical) refineProposal(ctx *Context, b *beam) *flags.Config {
 		}
 		n := 1 + ctx.Rng.Intn(3)
 		for i := 0; i < n; i++ {
-			flags.MutateFlag(child, b.active[ctx.Rng.Intn(len(b.active))], ctx.Rng)
+			flags.MutateFlag(child, active[ctx.Rng.Intn(len(active))], ctx.Rng)
 		}
 		if hierarchy.Validate(child) == nil {
 			return child
@@ -285,7 +294,7 @@ func (h *Hierarchical) exploreProposal(ctx *Context) *flags.Config {
 	}
 	c := others[ctx.Rng.Intn(len(others))]
 	cfg := c.base.Clone()
-	active := ctx.Tree.ActiveFlags(cfg)
+	active := c.activeFlags(ctx.Tree)
 	for i := 0; i < 2; i++ {
 		flags.MutateFlag(cfg, active[ctx.Rng.Intn(len(active))], ctx.Rng)
 	}

@@ -25,10 +25,10 @@ type Surrogate struct {
 	// Bins is the number of domain regions learned per Int flag (default 4).
 	Bins int
 
-	models  map[string]*flagModel
-	names   []string
-	groupOf map[string]string // flag name → hierarchy subtree, for exploration weighting
-	warm    []PriorSample     // transfer priors folded into the model at init
+	models  []*flagModel  // indexed by flag ID; nil for untunable flags
+	ids     []flags.ID    // tunable flags, ascending
+	groupOf []string      // flag ID → hierarchy subtree, for exploration weighting
+	warm    []PriorSample // transfer priors folded into the model at init
 	pending map[*flags.Config]bool
 	seeded  int
 }
@@ -62,10 +62,10 @@ func (s *Surrogate) bins() int {
 }
 
 func (s *Surrogate) init(ctx *Context) {
-	s.models = map[string]*flagModel{}
-	s.names = ctx.Reg.TunableNames()
-	for _, n := range s.names {
-		f := ctx.Reg.Lookup(n)
+	s.models = make([]*flagModel, ctx.Reg.Len())
+	s.ids = ctx.Reg.TunableIDs()
+	for _, id := range s.ids {
+		f := ctx.Reg.FlagByID(id)
 		slots := s.bins()
 		switch f.Type {
 		case flags.Bool:
@@ -73,7 +73,7 @@ func (s *Surrogate) init(ctx *Context) {
 		case flags.Enum:
 			slots = len(f.Choices)
 		}
-		s.models[n] = &flagModel{
+		s.models[id] = &flagModel{
 			flag:  f,
 			sum:   make([]float64, slots),
 			count: make([]float64, slots),
@@ -83,13 +83,15 @@ func (s *Surrogate) init(ctx *Context) {
 	// can be steered per-subtree instead of per-flag. The root's direct
 	// flags form their own group; flags outside the tree get the empty
 	// group and a neutral weight.
-	s.groupOf = map[string]string{}
+	s.groupOf = make([]string, ctx.Reg.Len())
 	if ctx.Tree != nil && ctx.Tree.Root != nil {
+		grouped := make([]bool, ctx.Reg.Len())
 		var walk func(n *hierarchy.Node, top string)
 		walk = func(n *hierarchy.Node, top string) {
 			for _, name := range n.Flags {
-				if _, ok := s.groupOf[name]; !ok {
-					s.groupOf[name] = top
+				if id := ctx.Reg.ID(name); id != flags.NoID && !grouped[id] {
+					grouped[id] = true
+					s.groupOf[id] = top
 				}
 			}
 			for _, ch := range n.Children {
@@ -111,10 +113,11 @@ func (s *Surrogate) init(ctx *Context) {
 			continue
 		}
 		for _, n := range ps.Cfg.ExplicitNames() {
-			fm, ok := s.models[n]
-			if !ok {
+			id := ctx.Reg.ID(n)
+			if id == flags.NoID || s.models[id] == nil {
 				continue
 			}
+			fm := s.models[id]
 			v, _ := ps.Cfg.Get(n)
 			slot := fm.slotOf(v)
 			fm.sum[slot] += ps.Norm
@@ -207,8 +210,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 		cfg := flags.NewConfig(ctx.Reg)
 		// Light randomization: a handful of flags, so seeds mostly run.
 		for i := 0; i < 8; i++ {
-			n := s.names[ctx.Rng.Intn(len(s.names))]
-			flags.MutateFlag(cfg, n, ctx.Rng)
+			flags.MutateFlag(cfg, s.ids[ctx.Rng.Intn(len(s.ids))], ctx.Rng)
 		}
 		s.note(cfg)
 		return cfg
@@ -220,8 +222,8 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 		cfg := flags.NewConfig(ctx.Reg)
 		// Only set flags the model has an opinion about (or explores);
 		// untouched flags stay at their defaults, keeping proposals sane.
-		for _, n := range s.names {
-			m := s.models[n]
+		for _, id := range s.ids {
+			m := s.models[id]
 			observed := 0.0
 			for _, c := range m.count {
 				observed += c
@@ -235,7 +237,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 			// band keeps its width, so regularization pressure is uniform.
 			w := 1.0
 			if weights != nil {
-				if gw, ok := weights[s.groupOf[n]]; ok {
+				if gw, ok := weights[s.groupOf[id]]; ok {
 					w = gw
 				}
 			}
@@ -245,13 +247,13 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 			case r < explore:
 				// Explore: random slot.
 				slot := ctx.Rng.Intn(len(m.sum))
-				cfg.Set(n, s.sampleInSlot(ctx, m, slot)) //nolint:errcheck
+				cfg.SetID(id, s.sampleInSlot(ctx, m, slot)) //nolint:errcheck
 			case r < explore+eps*0.5:
 				// Leave at default (regularization toward sanity).
 			default:
 				best := m.bestSlot()
 				if best >= 0 {
-					_ = cfg.Set(n, s.sampleInSlot(ctx, m, best))
+					_ = cfg.SetID(id, s.sampleInSlot(ctx, m, best))
 				}
 			}
 		}
@@ -264,7 +266,7 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 	}
 	// Could not assemble a valid proposal; fall back to a best-config mutant.
 	cfg := ctx.Best.Clone()
-	flags.MutateFlag(cfg, s.names[ctx.Rng.Intn(len(s.names))], ctx.Rng)
+	flags.MutateFlag(cfg, s.ids[ctx.Rng.Intn(len(s.ids))], ctx.Rng)
 	s.note(cfg)
 	return cfg
 }
@@ -279,8 +281,8 @@ func (s *Surrogate) Propose(ctx *Context) *flags.Config {
 func (s *Surrogate) groupWeights() map[string]float64 {
 	spread := map[string]float64{}
 	maxSpread := 0.0
-	for _, n := range s.names {
-		m := s.models[n]
+	for _, id := range s.ids {
+		m := s.models[id]
 		lo, hi, seen := math.Inf(1), math.Inf(-1), 0
 		for i := range m.sum {
 			if m.count[i] == 0 {
@@ -298,7 +300,7 @@ func (s *Surrogate) groupWeights() map[string]float64 {
 		if seen < 2 {
 			continue
 		}
-		g := s.groupOf[n]
+		g := s.groupOf[id]
 		if d := hi - lo; d > spread[g] {
 			spread[g] = d
 			if d > maxSpread {
@@ -336,14 +338,11 @@ func (s *Surrogate) Observe(ctx *Context, cfg *flags.Config, m runner.Measuremen
 		sc = ctx.DefaultWall * 3
 	}
 	norm := sc / ctx.DefaultWall
-	for _, n := range cfg.ExplicitNames() {
-		fm, ok := s.models[n]
-		if !ok {
-			continue
+	for _, id := range cfg.ExplicitIDs() {
+		if fm := s.models[id]; fm != nil {
+			slot := fm.slotOf(cfg.GetID(id))
+			fm.sum[slot] += norm
+			fm.count[slot]++
 		}
-		v, _ := cfg.Get(n)
-		slot := fm.slotOf(v)
-		fm.sum[slot] += norm
-		fm.count[slot]++
 	}
 }

@@ -160,7 +160,7 @@ func newPool(prof *workload.Profile, evs []Evaluator) (*Pool, error) {
 		profile: prof,
 		now:     time.Now,
 	}
-	p.TimeoutSeconds = 6 * jvmsim.New().DefaultWall(flags.NewRegistry(), prof, 1)
+	p.TimeoutSeconds = jvmsim.New().DefaultTimeout(prof)
 	seen := make(map[string]bool)
 	for _, ev := range evs {
 		name := ev.Name()

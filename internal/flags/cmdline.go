@@ -36,10 +36,12 @@ func (c *Config) ExplicitArgs() []string { return c.renderArgs(true) }
 func (c *Config) renderArgs(includeDefaults bool) []string {
 	var args []string
 	needExperimental, needDiagnostic := false, false
-	c.EachExplicit(func(f *Flag, v Value) {
-		if !includeDefaults && v.Equal(f.Type, f.Default) {
-			return
+	for _, id := range c.ids {
+		raw := c.vals[id]
+		if !includeDefaults && raw == c.reg.defaults[id] {
+			continue
 		}
+		f := c.reg.byID[id]
 		switch f.Kind {
 		case Experimental:
 			needExperimental = true
@@ -49,16 +51,16 @@ func (c *Config) renderArgs(includeDefaults bool) []string {
 		switch f.Type {
 		case Bool:
 			sign := "-"
-			if v.B {
+			if raw != 0 {
 				sign = "+"
 			}
 			args = append(args, "-XX:"+sign+f.Name)
 		case Int:
-			args = append(args, fmt.Sprintf("-XX:%s=%s", f.Name, renderInt(f, v.I)))
+			args = append(args, fmt.Sprintf("-XX:%s=%s", f.Name, renderInt(f, raw)))
 		case Enum:
-			args = append(args, fmt.Sprintf("-XX:%s=%s", f.Name, v.S))
+			args = append(args, fmt.Sprintf("-XX:%s=%s", f.Name, f.Choices[raw]))
 		}
-	})
+	}
 	var prefix []string
 	if needExperimental {
 		prefix = append(prefix, "-XX:+UnlockExperimentalVMOptions")
@@ -155,7 +157,7 @@ func (c *Config) applyXX(body, orig string) error {
 		if c.reg.byID[id].Type != Bool {
 			return fmt.Errorf("flags: %s is not a boolean flag (%q)", name, orig)
 		}
-		c.putID(id, BoolValue(body[0] == '+'))
+		c.SetBoolAt(BoolID(id), body[0] == '+')
 		return nil
 	}
 	eq := strings.IndexByte(body, '=')
@@ -178,11 +180,8 @@ func (c *Config) applyXX(body, orig string) error {
 		return c.SetID(id, EnumValue(raw))
 	case Bool:
 		switch raw {
-		case "true":
-			c.putID(id, BoolValue(true))
-			return nil
-		case "false":
-			c.putID(id, BoolValue(false))
+		case "true", "false":
+			c.SetBoolAt(BoolID(id), raw == "true")
 			return nil
 		}
 		return fmt.Errorf("flags: bad boolean value for %s in %q", name, orig)

@@ -2,7 +2,7 @@ package flags
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -27,29 +27,37 @@ func unknownFlag(name, format string, args ...any) *UnknownFlagError {
 }
 
 // Config is a concrete assignment of values to flags in one registry,
-// packed as a fixed-size value array indexed by flag ID: resolution,
-// canonical keys, cloning, validation, and command-line rendering are all
-// array walks in ID (= sorted-name) order, with no hashing or sorting on
-// the hot path. Flags not explicitly set take their registry defaults; Get
-// resolves that transparently. Config is not safe for concurrent mutation;
-// the tuner clones before handing configs to worker goroutines.
+// packed as fixed-size arrays indexed by flag ID: resolution, canonical
+// keys, cloning, validation, and command-line rendering are all array walks
+// in ID (= sorted-name) order, with no hashing or sorting on the hot path.
+//
+// Storage is pointer-free. vals holds every flag's effective value as an
+// int64 — a bool is 0 or 1, an int is itself, an enum is the index of its
+// (already validated) choice — so allocating and cloning a Config are
+// memmoves the garbage collector never scans. Flags not explicitly set hold
+// their registry defaults. Value is the API type at the edges; Get and
+// EachExplicit decode to it.
+//
+// Config is not safe for concurrent mutation; the tuner clones before
+// handing configs to worker goroutines.
 type Config struct {
 	reg      *Registry
-	vals     []Value // indexed by ID; meaningful only where explicit
+	vals     []int64 // indexed by ID: effective value in storage form
 	explicit []bool  // indexed by ID
-	ids      []ID    // sorted IDs of explicit assignments; len(ids) == n
-	n        int     // number of explicit assignments
+	ids      []ID    // sorted IDs of explicit assignments
 	memoKey  string  // Key() memo, valid when memoOK; any write clears it
 	memoOK   bool
 }
 
 // NewConfig returns an empty configuration (all defaults) over reg.
 func NewConfig(reg *Registry) *Config {
-	return &Config{
+	c := &Config{
 		reg:      reg,
-		vals:     make([]Value, reg.Len()),
+		vals:     make([]int64, reg.Len()),
 		explicit: make([]bool, reg.Len()),
 	}
+	copy(c.vals, reg.defaults)
+	return c
 }
 
 // Registry returns the registry this configuration is bound to.
@@ -59,40 +67,42 @@ func (c *Config) Registry() *Registry { return c.reg }
 // keeping its storage so high-rate parsing paths can recycle one Config
 // instead of re-allocating the registry-wide value arrays per use.
 func (c *Config) Reset() {
-	if c.n > 0 {
-		clear(c.vals)
-		clear(c.explicit)
-		c.ids = c.ids[:0]
-		c.n = 0
+	for _, id := range c.ids {
+		c.vals[id] = c.reg.defaults[id]
+		c.explicit[id] = false
 	}
+	c.ids = c.ids[:0]
 	c.memoOK = false
 	c.memoKey = ""
 }
 
-// putID records an explicit assignment without validating it.
-func (c *Config) putID(id ID, v Value) {
+// setRaw records an explicit assignment of a storage-form value without
+// validating it.
+func (c *Config) setRaw(id ID, raw int64) {
 	if !c.explicit[id] {
 		c.explicit[id] = true
-		c.n++
 		// Keep the explicit-ID list sorted so every canonical walk (keys,
 		// args, validation) is O(explicit), not O(registry width). Configs
 		// carry a handful of assignments against a ~600-flag catalog, so
-		// the insertion is a short memmove, and the width-independent walks
-		// are what keep the per-trial hot paths cheap.
-		i := sort.Search(len(c.ids), func(j int) bool { return c.ids[j] >= id })
-		c.ids = append(c.ids, 0)
-		copy(c.ids[i+1:], c.ids[i:])
-		c.ids[i] = id
+		// the insertion is a short memmove.
+		i, _ := slices.BinarySearch(c.ids, id)
+		c.ids = slices.Insert(c.ids, i, id)
 	}
-	c.vals[id] = v
+	c.vals[id] = raw
 	c.memoOK = false
 	c.memoKey = ""
 }
 
-// put records an explicit assignment by name without validating the value.
-// The name must exist in the registry; package-internal callers check first.
-func (c *Config) put(name string, v Value) {
-	c.putID(c.reg.idOf[name], v)
+// putID records an explicit assignment without validating its domain. An
+// enum value must name one of the flag's choices: storage holds choice
+// indexes, so an unknown choice is a programming error and panics.
+func (c *Config) putID(id ID, v Value) {
+	f := c.reg.byID[id]
+	raw := f.raw(v)
+	if raw < 0 && f.Type == Enum {
+		panic(fmt.Sprintf("flags: %s=%q not in %v", f.Name, v.S, f.Choices))
+	}
+	c.setRaw(id, raw)
 }
 
 // Set assigns v to the named flag, validating both the name and the domain.
@@ -102,11 +112,7 @@ func (c *Config) Set(name string, v Value) error {
 	if id == NoID {
 		return unknownFlag(name, "flags: unknown flag %s", name)
 	}
-	if err := c.reg.byID[id].Validate(v); err != nil {
-		return err
-	}
-	c.putID(id, v)
-	return nil
+	return c.SetID(id, v)
 }
 
 // SetID assigns v to the flag with the given ID, validating the domain.
@@ -121,36 +127,41 @@ func (c *Config) SetID(id ID, v Value) error {
 // SetBool assigns a boolean flag. It panics on unknown names or type
 // mismatches, which are programming errors in callers that hard-code names.
 func (c *Config) SetBool(name string, b bool) {
-	id, _ := c.mustID(name, Bool)
-	c.putID(id, BoolValue(b))
+	c.SetBoolAt(BoolID(c.mustID(name, Bool)), b)
+}
+
+// SetBoolAt assigns the boolean flag id.
+func (c *Config) SetBoolAt(id BoolID, b bool) {
+	var raw int64
+	if b {
+		raw = 1
+	}
+	c.setRaw(ID(id), raw)
 }
 
 // SetInt assigns an integer flag, clamping into the flag's domain.
 func (c *Config) SetInt(name string, i int64) {
-	id, f := c.mustID(name, Int)
-	c.putID(id, f.Clamp(IntValue(i)))
+	id := c.mustID(name, Int)
+	c.setRaw(id, c.reg.byID[id].Clamp(IntValue(i)).I)
 }
 
 // SetEnum assigns an enum flag. It panics on an unknown choice.
 func (c *Config) SetEnum(name, choice string) {
-	id, f := c.mustID(name, Enum)
-	v := EnumValue(choice)
-	if err := f.Validate(v); err != nil {
+	id := c.mustID(name, Enum)
+	if err := c.SetID(id, EnumValue(choice)); err != nil {
 		panic(err.Error())
 	}
-	c.putID(id, v)
 }
 
-func (c *Config) mustID(name string, t Type) (ID, *Flag) {
+func (c *Config) mustID(name string, t Type) ID {
 	id := c.reg.ID(name)
 	if id == NoID {
 		panic(fmt.Sprintf("flags: unknown flag %s", name))
 	}
-	f := c.reg.byID[id]
-	if f.Type != t {
+	if f := c.reg.byID[id]; f.Type != t {
 		panic(fmt.Sprintf("flags: %s is %v, not %v", name, f.Type, t))
 	}
-	return id, f
+	return id
 }
 
 // Get returns the effective value of name (explicit or default) and whether
@@ -166,32 +177,32 @@ func (c *Config) Get(name string) (Value, bool) {
 // GetID returns the effective value (explicit or default) of the flag with
 // the given ID.
 func (c *Config) GetID(id ID) Value {
-	if c.explicit[id] {
-		return c.vals[id]
-	}
-	return c.reg.byID[id].Default
+	return c.reg.byID[id].value(c.vals[id])
 }
 
 // Bool returns the effective boolean value of name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Bool(name string) bool {
-	id, _ := c.mustID(name, Bool)
-	return c.GetID(id).B
+	return c.BoolAt(BoolID(c.mustID(name, Bool)))
 }
 
 // Int returns the effective integer value of name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Int(name string) int64 {
-	id, _ := c.mustID(name, Int)
-	return c.GetID(id).I
+	return c.IntAt(IntID(c.mustID(name, Int)))
 }
 
 // Enum returns the effective enum value of name.
 // It panics on unknown names or type mismatches.
 func (c *Config) Enum(name string) string {
-	id, _ := c.mustID(name, Enum)
-	return c.GetID(id).S
+	return c.GetID(c.mustID(name, Enum)).S
 }
+
+// BoolAt returns the effective value of the boolean flag id.
+func (c *Config) BoolAt(id BoolID) bool { return c.vals[id] != 0 }
+
+// IntAt returns the effective value of the integer flag id.
+func (c *Config) IntAt(id IntID) int64 { return c.vals[id] }
 
 // IsExplicit reports whether name was explicitly assigned (as opposed to
 // inheriting its default).
@@ -200,38 +211,50 @@ func (c *Config) IsExplicit(name string) bool {
 	return id != NoID && c.explicit[id]
 }
 
+// IsExplicitID reports whether the flag id was explicitly assigned.
+func (c *Config) IsExplicitID(id ID) bool { return c.explicit[id] }
+
 // Unset removes an explicit assignment, reverting name to its default.
 func (c *Config) Unset(name string) {
-	id := c.reg.ID(name)
-	if id == NoID || !c.explicit[id] {
+	if id := c.reg.ID(name); id != NoID {
+		c.UnsetID(id)
+	}
+}
+
+// UnsetID removes an explicit assignment, reverting the flag id to its
+// default.
+func (c *Config) UnsetID(id ID) {
+	if !c.explicit[id] {
 		return
 	}
 	c.explicit[id] = false
-	c.vals[id] = Value{}
-	c.n--
-	i := sort.Search(len(c.ids), func(j int) bool { return c.ids[j] >= id })
-	c.ids = append(c.ids[:i], c.ids[i+1:]...)
+	c.vals[id] = c.reg.defaults[id]
+	i, _ := slices.BinarySearch(c.ids, id)
+	c.ids = slices.Delete(c.ids, i, i+1)
 	c.memoOK = false
 	c.memoKey = ""
 }
 
 // ExplicitNames returns the sorted names of explicitly assigned flags.
 func (c *Config) ExplicitNames() []string {
-	out := make([]string, 0, c.n)
+	out := make([]string, 0, len(c.ids))
 	for _, id := range c.ids {
 		out = append(out, c.reg.names[id])
 	}
 	return out
 }
 
+// ExplicitIDs returns the sorted IDs of explicitly assigned flags. The
+// slice is c's own and valid until c's next write; callers must not
+// modify it.
+func (c *Config) ExplicitIDs() []ID { return c.ids }
+
 // EachExplicit calls fn for every explicitly assigned flag in ID (sorted
 // name) order, without allocating.
 func (c *Config) EachExplicit(fn func(f *Flag, v Value)) {
-	if c.n == 0 {
-		return
-	}
 	for _, id := range c.ids {
-		fn(c.reg.byID[id], c.vals[id])
+		f := c.reg.byID[id]
+		fn(f, f.value(c.vals[id]))
 	}
 }
 
@@ -239,10 +262,9 @@ func (c *Config) EachExplicit(fn func(f *Flag, v Value)) {
 func (c *Config) Clone() *Config {
 	cp := &Config{
 		reg:      c.reg,
-		vals:     make([]Value, len(c.vals)),
+		vals:     make([]int64, len(c.vals)),
 		explicit: make([]bool, len(c.explicit)),
-		ids:      append([]ID(nil), c.ids...),
-		n:        c.n,
+		ids:      slices.Clone(c.ids),
 		memoKey:  c.memoKey,
 		memoOK:   c.memoOK,
 	}
@@ -263,7 +285,7 @@ func (c *Config) Key() string {
 	if c.memoOK {
 		return c.memoKey
 	}
-	if c.n == 0 {
+	if len(c.ids) == 0 {
 		c.memoOK = true
 		return ""
 	}
@@ -276,41 +298,37 @@ func (c *Config) Key() string {
 // extended buffer — the allocation-free form for callers that reuse a
 // scratch buffer across configurations.
 func (c *Config) AppendKey(dst []byte) []byte {
-	if c.n == 0 {
-		return dst
-	}
 	first := true
 	for _, id := range c.ids {
-		f := c.reg.byID[id]
-		v := c.vals[id]
-		if v.Equal(f.Type, f.Default) {
+		raw := c.vals[id]
+		if raw == c.reg.defaults[id] {
 			continue
 		}
 		if !first {
 			dst = append(dst, ',')
 		}
 		first = false
+		f := c.reg.byID[id]
 		dst = append(dst, f.Name...)
 		dst = append(dst, '=')
-		dst = appendValue(dst, f.Type, v)
+		dst = f.appendRaw(dst, raw)
 	}
 	return dst
 }
 
-// appendValue appends v rendered for type t (matching Value.String) to dst.
-func appendValue(dst []byte, t Type, v Value) []byte {
-	switch t {
+// appendRaw appends the storage-form value raw, rendered as Value.String
+// renders it, to dst.
+func (f *Flag) appendRaw(dst []byte, raw int64) []byte {
+	switch f.Type {
 	case Bool:
-		if v.B {
+		if raw != 0 {
 			return append(dst, "true"...)
 		}
 		return append(dst, "false"...)
-	case Int:
-		return strconv.AppendInt(dst, v.I, 10)
 	case Enum:
-		return append(dst, v.S...)
+		return append(dst, f.Choices[raw]...)
 	}
-	return append(dst, '?')
+	return strconv.AppendInt(dst, raw, 10)
 }
 
 // Diff returns, in sorted flag order, the names whose effective values
@@ -320,9 +338,9 @@ func (c *Config) Diff(o *Config) []string {
 		panic("flags: Diff across registries")
 	}
 	var out []string
-	for id, f := range c.reg.byID {
-		if !c.GetID(ID(id)).Equal(f.Type, o.GetID(ID(id))) {
-			out = append(out, f.Name)
+	for id, raw := range c.vals {
+		if raw != o.vals[id] {
+			out = append(out, c.reg.names[id])
 		}
 	}
 	return out
@@ -330,14 +348,13 @@ func (c *Config) Diff(o *Config) []string {
 
 // Validate checks every explicit assignment against its flag's domain.
 // Structural validity only; semantic conflicts (e.g. two collectors
-// selected) are the hierarchy's and the VM's business.
+// selected) are the hierarchy's and the VM's business. Stored bools and
+// enums are valid by construction, so only ints can be out of domain.
 func (c *Config) Validate() error {
-	if c.n == 0 {
-		return nil
-	}
 	for _, id := range c.ids {
-		if err := c.reg.byID[id].Validate(c.vals[id]); err != nil {
-			return err
+		f := c.reg.byID[id]
+		if raw := c.vals[id]; f.Type == Int && (raw < f.Min || raw > f.Max) {
+			return f.Validate(IntValue(raw))
 		}
 	}
 	return nil

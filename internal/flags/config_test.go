@@ -19,6 +19,20 @@ func testRegistry(t *testing.T) *Registry {
 	return r
 }
 
+// put records an explicit assignment by name without validating the value.
+func (c *Config) put(name string, v Value) {
+	c.putID(c.reg.ID(name), v)
+}
+
+// idsOf resolves names to IDs in the order given.
+func idsOf(r *Registry, names ...string) []ID {
+	ids := make([]ID, len(names))
+	for i, n := range names {
+		ids[i] = r.ID(n)
+	}
+	return ids
+}
+
 func TestConfigDefaultsAndSet(t *testing.T) {
 	r := testRegistry(t)
 	c := NewConfig(r)

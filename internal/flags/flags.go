@@ -3,6 +3,14 @@
 // configurations (flag → value assignments), validation, and translation to
 // and from java-style command lines (-Xmx…, -XX:±Flag, -XX:Flag=value).
 //
+// The standard registry (NewRegistry) is built once per process and shared:
+// it is immutable, and every *Flag it hands out is read-only. Inside the
+// tuner a flag is its ID — configurations store pointer-free values indexed
+// by ID, the search operators (RandomizeFlags, MutateFlag, Crossover) take
+// ID lists, and hot checks read fixed flags through BoolID/IntID tables
+// resolved once per registry. Names live only at the edges: command lines,
+// the wire, journals, traces and reports.
+//
 // The package is deliberately ignorant of what the flags *do*; performance
 // semantics live in internal/jvmsim and structural dependencies (which flag
 // is relevant under which garbage collector, etc.) live in
@@ -202,10 +210,8 @@ func (f *Flag) Validate(v Value) error {
 		}
 		return nil
 	case Enum:
-		for _, c := range f.Choices {
-			if c == v.S {
-				return nil
-			}
+		if f.choiceIndex(v.S) >= 0 {
+			return nil
 		}
 		return fmt.Errorf("flags: %s=%q not in %v", f.Name, v.S, f.Choices)
 	}
@@ -229,6 +235,42 @@ func (f *Flag) Clamp(v Value) Value {
 		}
 	}
 	return v
+}
+
+// raw encodes v in Config storage form: a bool is 0 or 1, an int is
+// itself, and an enum is its choice index (-1 when v names no choice).
+func (f *Flag) raw(v Value) int64 {
+	switch f.Type {
+	case Bool:
+		if v.B {
+			return 1
+		}
+		return 0
+	case Enum:
+		return int64(f.choiceIndex(v.S))
+	}
+	return v.I
+}
+
+// value decodes a storage-form value; enum indexes must be in range.
+func (f *Flag) value(raw int64) Value {
+	switch f.Type {
+	case Bool:
+		return BoolValue(raw != 0)
+	case Enum:
+		return EnumValue(f.Choices[raw])
+	}
+	return IntValue(raw)
+}
+
+// choiceIndex returns the index of s in f.Choices, or -1.
+func (f *Flag) choiceIndex(s string) int {
+	for i, c := range f.Choices {
+		if c == s {
+			return i
+		}
+	}
+	return -1
 }
 
 // DomainSize returns the number of distinct values the flag can take at its

@@ -206,6 +206,7 @@ func TestNewCustomRegistryRejectsBadDefs(t *testing.T) {
 		{"duplicate", []Flag{{Name: "A", Type: Bool}, {Name: "A", Type: Bool}}},
 		{"min>max", []Flag{{Name: "A", Type: Int, Min: 5, Max: 1, Default: IntValue(5)}}},
 		{"enum no choices", []Flag{{Name: "A", Type: Enum}}},
+		{"enum duplicate choice", []Flag{{Name: "A", Type: Enum, Choices: []string{"x", "x"}, Default: EnumValue("x")}}},
 		{"default out of domain", []Flag{{Name: "A", Type: Int, Min: 1, Max: 3, Default: IntValue(9)}}},
 	}
 	for _, c := range cases {

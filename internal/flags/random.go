@@ -11,15 +11,21 @@ import (
 // zero minimum and LogScale sample zero (the "ergonomic/auto" sentinel) with
 // small probability, since log scales cannot reach it.
 func SampleValue(f *Flag, rng *rand.Rand) Value {
+	return f.value(sampleRaw(f, rng))
+}
+
+// sampleRaw is SampleValue in Config storage form.
+func sampleRaw(f *Flag, rng *rand.Rand) int64 {
 	switch f.Type {
 	case Bool:
-		return BoolValue(rng.Intn(2) == 0)
+		if rng.Intn(2) == 0 {
+			return 1
+		}
+		return 0
 	case Enum:
-		return EnumValue(f.Choices[rng.Intn(len(f.Choices))])
-	case Int:
-		return IntValue(sampleInt(f, rng))
+		return int64(rng.Intn(len(f.Choices)))
 	}
-	return f.Default
+	return sampleInt(f, rng)
 }
 
 func sampleInt(f *Flag, rng *rand.Rand) int64 {
@@ -63,23 +69,30 @@ func snap(f *Flag, v int64) int64 {
 // ±scale of the domain (scale in (0,1], e.g. 0.1 for local search).
 // The result always differs from current when the domain has >1 value.
 func NeighborValue(f *Flag, current Value, rng *rand.Rand) Value {
+	raw := neighborRaw(f, f.raw(current), rng)
+	if f.Type == Enum && raw < 0 {
+		return current // a one-choice enum off its domain stays put
+	}
+	return f.value(raw)
+}
+
+// neighborRaw is NeighborValue in Config storage form. Enum choices are
+// unique, so comparing choice indexes compares the choices themselves.
+func neighborRaw(f *Flag, cur int64, rng *rand.Rand) int64 {
 	switch f.Type {
 	case Bool:
-		return BoolValue(!current.B)
+		return 1 - cur
 	case Enum:
 		if len(f.Choices) == 1 {
-			return current
+			return cur
 		}
 		for {
-			c := f.Choices[rng.Intn(len(f.Choices))]
-			if c != current.S {
-				return EnumValue(c)
+			if c := int64(rng.Intn(len(f.Choices))); c != cur {
+				return c
 			}
 		}
-	case Int:
-		return IntValue(neighborInt(f, current.I, rng, 0.15))
 	}
-	return current
+	return neighborInt(f, cur, rng, 0.15)
 }
 
 func neighborInt(f *Flag, cur int64, rng *rand.Rand, scale float64) int64 {
@@ -112,46 +125,42 @@ func neighborInt(f *Flag, cur int64, rng *rand.Rand, scale float64) int64 {
 	return v
 }
 
-// RandomizeFlags assigns fresh uniform random values to the named flags in
-// c. Unknown names panic: callers derive names from the same registry.
-func RandomizeFlags(c *Config, names []string, rng *rand.Rand) {
-	for _, n := range names {
-		id := c.reg.ID(n)
-		if id == NoID {
-			panic("flags: RandomizeFlags of unknown flag " + n)
-		}
-		c.putID(id, SampleValue(c.reg.byID[id], rng))
+// RandomizeFlags assigns fresh uniform random values to the flags ids of
+// c, drawing in the order given.
+func RandomizeFlags(c *Config, ids []ID, rng *rand.Rand) {
+	for _, id := range ids {
+		c.setRaw(id, sampleRaw(c.reg.byID[id], rng))
 	}
 }
 
-// MutateFlag replaces the named flag's value in c with a neighbor of its
+// MutateFlag replaces the value of flag id in c with a neighbor of its
 // current effective value.
-func MutateFlag(c *Config, name string, rng *rand.Rand) {
-	id := c.reg.ID(name)
-	if id == NoID {
-		panic("flags: MutateFlag of unknown flag " + name)
-	}
-	c.putID(id, NeighborValue(c.reg.byID[id], c.GetID(id), rng))
+func MutateFlag(c *Config, id ID, rng *rand.Rand) {
+	c.setRaw(id, neighborRaw(c.reg.byID[id], c.vals[id], rng))
 }
 
-// Crossover returns a child configuration that inherits each of the named
-// flags' effective values from parent a or b with equal probability.
-// Flags outside names stay at their defaults.
-func Crossover(a, b *Config, names []string, rng *rand.Rand) *Config {
+// Crossover returns a child configuration that inherits each of the flags
+// ids' effective values from parent a or b with equal probability, drawing
+// in ascending ID order. ids must be strictly ascending, as the hierarchy's
+// active sets and TunableIDs are; the child's explicit list is then ids
+// itself, filled by appending. Flags outside ids stay at their defaults.
+func Crossover(a, b *Config, ids []ID, rng *rand.Rand) *Config {
 	if a.reg != b.reg {
 		panic("flags: Crossover across registries")
 	}
 	child := NewConfig(a.reg)
-	for _, n := range names {
+	child.ids = make([]ID, 0, len(ids))
+	for _, id := range ids {
+		if n := len(child.ids); n > 0 && child.ids[n-1] >= id {
+			panic("flags: Crossover IDs not strictly ascending")
+		}
 		src := a
 		if rng.Intn(2) == 0 {
 			src = b
 		}
-		id := src.reg.ID(n)
-		if id == NoID {
-			panic("flags: Crossover of unknown flag " + n)
-		}
-		child.putID(id, src.GetID(id))
+		child.vals[id] = src.vals[id]
+		child.explicit[id] = true
+		child.ids = append(child.ids, id)
 	}
 	return child
 }

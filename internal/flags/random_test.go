@@ -115,7 +115,7 @@ func TestRandomizeAndMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := NewConfig(r)
 	names := []string{"MaxHeapSize", "NewRatio", "UseG1GC"}
-	RandomizeFlags(c, names, rng)
+	RandomizeFlags(c, idsOf(r, names...), rng)
 	for _, n := range names {
 		if !c.IsExplicit(n) {
 			t.Errorf("%s not assigned by RandomizeFlags", n)
@@ -125,12 +125,12 @@ func TestRandomizeAndMutate(t *testing.T) {
 		t.Errorf("randomized config invalid: %v", err)
 	}
 	before := c.Int("NewRatio")
-	MutateFlag(c, "NewRatio", rng)
+	MutateFlag(c, r.ID("NewRatio"), rng)
 	if c.Int("NewRatio") == before {
 		t.Error("MutateFlag did not move NewRatio")
 	}
-	mustPanic(t, "randomize unknown", func() { RandomizeFlags(c, []string{"Nope"}, rng) })
-	mustPanic(t, "mutate unknown", func() { MutateFlag(c, "Nope", rng) })
+	mustPanic(t, "randomize unknown", func() { RandomizeFlags(c, []ID{NoID}, rng) })
+	mustPanic(t, "mutate unknown", func() { MutateFlag(c, NoID, rng) })
 }
 
 func TestCrossoverInheritsFromParents(t *testing.T) {
@@ -145,7 +145,7 @@ func TestCrossoverInheritsFromParents(t *testing.T) {
 	names := []string{"NewRatio", "SurvivorRatio"}
 	sawA, sawB := false, false
 	for i := 0; i < 100; i++ {
-		child := Crossover(a, b, names, rng)
+		child := Crossover(a, b, idsOf(r, names...), rng)
 		nr := child.Int("NewRatio")
 		if nr != 1 && nr != 16 {
 			t.Fatalf("child NewRatio %d from neither parent", nr)
@@ -169,10 +169,13 @@ func TestCrossoverDeterministicWithSeed(t *testing.T) {
 	a, b := NewConfig(r), NewConfig(r)
 	a.SetInt("MaxHeapSize", 256<<20)
 	b.SetInt("MaxHeapSize", 4<<30)
-	names := []string{"MaxHeapSize", "NewRatio", "UseG1GC", "CompileThreshold"}
-	c1 := Crossover(a, b, names, rand.New(rand.NewSource(99)))
-	c2 := Crossover(a, b, names, rand.New(rand.NewSource(99)))
+	ids := idsOf(r, "CompileThreshold", "MaxHeapSize", "NewRatio", "UseG1GC")
+	c1 := Crossover(a, b, ids, rand.New(rand.NewSource(99)))
+	c2 := Crossover(a, b, ids, rand.New(rand.NewSource(99)))
 	if c1.Key() != c2.Key() {
 		t.Error("crossover not deterministic under a fixed seed")
 	}
+	mustPanic(t, "crossover unsorted", func() {
+		Crossover(a, b, idsOf(r, "NewRatio", "MaxHeapSize"), rand.New(rand.NewSource(99)))
+	})
 }

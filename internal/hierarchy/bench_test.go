@@ -6,8 +6,8 @@ import (
 	"repro/internal/flags"
 )
 
-// ActiveFlags runs on every hierarchical proposal; Validate runs before
-// every launch.
+// ActiveFlags runs once per branch combination a hierarchical session
+// refines or explores; Validate runs before every launch.
 
 func BenchmarkBuildTree(b *testing.B) {
 	reg := flags.NewRegistry()

@@ -13,15 +13,16 @@ import (
 // inlining, synchronization, runtime services) alongside, and a tail node
 // that absorbs every remaining tunable flag so the whole JVM stays in scope.
 func Build(reg *flags.Registry) *Tree {
+	f := fixed.For(reg)
 	collectorIs := func(want Collector) Guard {
 		return func(c *flags.Config) bool {
-			got, err := SelectedCollector(c)
+			got, err := selectedCollector(c, f)
 			return err == nil && got == want
 		}
 	}
 	collectorNot := func(avoid ...Collector) Guard {
 		return func(c *flags.Config) bool {
-			got, err := SelectedCollector(c)
+			got, err := selectedCollector(c, f)
 			if err != nil {
 				return false
 			}
@@ -33,8 +34,8 @@ func Build(reg *flags.Registry) *Tree {
 			return true
 		}
 	}
-	boolOn := func(name string) Guard {
-		return func(c *flags.Config) bool { return c.Bool(name) }
+	boolOn := func(id flags.BoolID) Guard {
+		return func(c *flags.Config) bool { return c.BoolAt(id) }
 	}
 
 	serialNode := &Node{
@@ -104,7 +105,7 @@ func Build(reg *flags.Registry) *Tree {
 	tlabNode := &Node{
 		Name:        "heap/tlab",
 		Description: "thread-local allocation buffer sizing",
-		Guard:       boolOn("UseTLAB"),
+		Guard:       boolOn(f.UseTLAB),
 		Flags:       []string{"TLABSize", "ResizeTLAB", "TLABWasteTargetPercent"},
 	}
 	heapNode := &Node{
@@ -123,13 +124,13 @@ func Build(reg *flags.Registry) *Tree {
 	classicJIT := &Node{
 		Name:        "jit/classic",
 		Description: "single-compiler (C2) mode",
-		Guard:       func(c *flags.Config) bool { return !c.Bool("TieredCompilation") },
+		Guard:       func(c *flags.Config) bool { return !c.BoolAt(f.TieredCompilation) },
 		Flags:       []string{"CompileThreshold", "OnStackReplacePercentage", "InterpreterProfilePercentage"},
 	}
 	tieredJIT := &Node{
 		Name:        "jit/tiered",
 		Description: "tiered C1→C2 mode",
-		Guard:       boolOn("TieredCompilation"),
+		Guard:       boolOn(f.TieredCompilation),
 		Flags:       []string{"TieredStopAtLevel"},
 	}
 	inlineNode := &Node{
@@ -171,7 +172,7 @@ func Build(reg *flags.Registry) *Tree {
 			{
 				Name:        "threads/biased",
 				Description: "biased-locking tuning",
-				Guard:       boolOn("UseBiasedLocking"),
+				Guard:       boolOn(f.UseBiasedLocking),
 				Flags:       []string{"BiasedLockingStartupDelay"},
 			},
 		},
@@ -212,25 +213,26 @@ func Build(reg *flags.Registry) *Tree {
 		Description: "remaining product flags (observability, policies)",
 		Flags:       tail,
 	})
+	resolveTunable(root, reg)
 
 	t.choices = []Choice{
 		{
 			Name: "collector",
 			Branches: []Branch{
-				{Name: "serial", Node: serialNode, Apply: selectCollector(Serial)},
-				{Name: "parallel", Node: parallelNode, Apply: selectCollector(Parallel)},
-				{Name: "cms", Node: cmsNode, Apply: selectCollector(CMS)},
-				{Name: "g1", Node: g1Node, Apply: selectCollector(G1)},
+				{Name: "serial", Node: serialNode, Apply: selectCollector(f, Serial)},
+				{Name: "parallel", Node: parallelNode, Apply: selectCollector(f, Parallel)},
+				{Name: "cms", Node: cmsNode, Apply: selectCollector(f, CMS)},
+				{Name: "g1", Node: g1Node, Apply: selectCollector(f, G1)},
 			},
 		},
 		{
 			Name: "compilation",
 			Branches: []Branch{
 				{Name: "classic", Node: classicJIT, Apply: func(c *flags.Config) {
-					c.SetBool("TieredCompilation", false)
+					c.SetBoolAt(f.TieredCompilation, false)
 				}},
 				{Name: "tiered", Node: tieredJIT, Apply: func(c *flags.Config) {
-					c.SetBool("TieredCompilation", true)
+					c.SetBoolAt(f.TieredCompilation, true)
 				}},
 			},
 		},
@@ -238,24 +240,33 @@ func Build(reg *flags.Registry) *Tree {
 	return t
 }
 
+// resolveTunable records, on every node, the IDs of its tunable flags —
+// the form ActiveFlags collects.
+func resolveTunable(n *Node, reg *flags.Registry) {
+	for _, name := range n.Flags {
+		if id := reg.ID(name); id != flags.NoID && reg.FlagByID(id).Tunable() {
+			n.tunable = append(n.tunable, id)
+		}
+	}
+	for _, ch := range n.Children {
+		resolveTunable(ch, reg)
+	}
+}
+
 // selectCollector returns an Apply function that rewrites the collector
 // selection flags to pick exactly one collector, the way a launcher would.
-func selectCollector(col Collector) func(c *flags.Config) {
+func selectCollector(f *fixedFlags, col Collector) func(c *flags.Config) {
 	return func(c *flags.Config) {
-		c.SetBool("UseSerialGC", col == Serial)
-		c.SetBool("UseConcMarkSweepGC", col == CMS)
-		c.SetBool("UseG1GC", col == G1)
+		c.SetBoolAt(f.UseSerialGC, col == Serial)
+		c.SetBoolAt(f.UseConcMarkSweepGC, col == CMS)
+		c.SetBoolAt(f.UseG1GC, col == G1)
 		// Leave UseParallelGC implicit (default true) unless another
 		// collector is chosen: an explicit true conflicts with them.
 		if col == Parallel {
-			c.Unset("UseParallelGC")
+			c.UnsetID(flags.ID(f.UseParallelGC))
 		} else {
-			c.SetBool("UseParallelGC", false)
+			c.SetBoolAt(f.UseParallelGC, false)
 		}
-		if col == CMS {
-			c.SetBool("UseParNewGC", true)
-		} else {
-			c.SetBool("UseParNewGC", false)
-		}
+		c.SetBoolAt(f.UseParNewGC, col == CMS)
 	}
 }

@@ -18,6 +18,7 @@ package hierarchy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/flags"
@@ -35,63 +36,98 @@ const (
 	G1       Collector = "g1"
 )
 
+// fixedFlags are the flags the collector and validation rules read on every
+// proposal, resolved to IDs once per registry.
+type fixedFlags struct {
+	UseSerialGC, UseParallelGC, UseConcMarkSweepGC, UseG1GC, UseParNewGC flags.BoolID
+	TieredCompilation, UseTLAB, UseBiasedLocking                         flags.BoolID
+
+	MaxHeapSize, InitialHeapSize, NewSize, MaxNewSize flags.IntID
+	InitialCodeCacheSize, ReservedCodeCacheSize       flags.IntID
+	PermSize, MaxPermSize                             flags.IntID
+}
+
+var fixed flags.IDTable[fixedFlags]
+
 // SelectedCollector derives the collector a configuration selects, using
 // HotSpot's ergonomics: explicit selection wins; with nothing selected the
 // server VM defaults to the parallel (throughput) collector. The returned
 // error reports conflicting selections, mirroring the VM's
 // "Conflicting collector combinations" startup failure.
 func SelectedCollector(c *flags.Config) (Collector, error) {
-	var picked []Collector
-	if c.Bool("UseSerialGC") {
-		picked = append(picked, Serial)
+	return selectedCollector(c, fixed.For(c.Registry()))
+}
+
+func selectedCollector(c *flags.Config, f *fixedFlags) (Collector, error) {
+	serial, cms, g1 := c.BoolAt(f.UseSerialGC), c.BoolAt(f.UseConcMarkSweepGC), c.BoolAt(f.UseG1GC)
+	var pick Collector
+	n := 0
+	if serial {
+		pick, n = Serial, n+1
 	}
-	if c.Bool("UseConcMarkSweepGC") {
-		picked = append(picked, CMS)
+	if cms {
+		pick, n = CMS, n+1
 	}
-	if c.Bool("UseG1GC") {
-		picked = append(picked, G1)
+	if g1 {
+		pick, n = G1, n+1
 	}
-	if len(picked) > 1 {
-		return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v", picked)
-	}
-	if len(picked) == 1 {
+	switch {
+	case n > 1:
+		return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v", picked(serial, cms, g1))
+	case n == 1:
 		// UseParallelGC defaults to true; an explicit collector choice
 		// overrides it only if parallel was not *also* explicitly forced.
-		if c.Bool("UseParallelGC") && c.IsExplicit("UseParallelGC") {
-			return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v and parallel", picked)
+		if c.BoolAt(f.UseParallelGC) && c.IsExplicitID(flags.ID(f.UseParallelGC)) {
+			return "", fmt.Errorf("hierarchy: conflicting collector combinations: %v and parallel", picked(serial, cms, g1))
 		}
-		return picked[0], nil
-	}
-	if c.Bool("UseParallelGC") {
+		return pick, nil
+	case c.BoolAt(f.UseParallelGC):
 		return Parallel, nil
 	}
 	return Serial, nil
 }
 
+// picked lists the explicitly selected collectors for error messages; the
+// success paths never build it, so they allocate nothing.
+func picked(serial, cms, g1 bool) []Collector {
+	var out []Collector
+	if serial {
+		out = append(out, Serial)
+	}
+	if cms {
+		out = append(out, CMS)
+	}
+	if g1 {
+		out = append(out, G1)
+	}
+	return out
+}
+
 // Validate checks a configuration for the semantic rules a real VM enforces
 // at startup. A nil return means the VM would start.
 func Validate(c *flags.Config) error {
-	col, err := SelectedCollector(c)
+	f := fixed.For(c.Registry())
+	col, err := selectedCollector(c, f)
 	if err != nil {
 		return err
 	}
-	if c.Bool("UseParNewGC") && col != CMS {
+	if c.BoolAt(f.UseParNewGC) && col != CMS {
 		return fmt.Errorf("hierarchy: UseParNewGC is only valid with the CMS collector (selected %s)", col)
 	}
-	heap := c.Int("MaxHeapSize")
-	if init := c.Int("InitialHeapSize"); init > heap {
+	heap := c.IntAt(f.MaxHeapSize)
+	if init := c.IntAt(f.InitialHeapSize); init > heap {
 		return fmt.Errorf("hierarchy: InitialHeapSize (%d) exceeds MaxHeapSize (%d)", init, heap)
 	}
-	if ns, ms := c.Int("NewSize"), c.Int("MaxNewSize"); ms != 0 && ns > ms {
+	if ns, ms := c.IntAt(f.NewSize), c.IntAt(f.MaxNewSize); ms != 0 && ns > ms {
 		return fmt.Errorf("hierarchy: NewSize (%d) exceeds MaxNewSize (%d)", ns, ms)
 	}
-	if ms := c.Int("MaxNewSize"); ms != 0 && ms >= heap {
+	if ms := c.IntAt(f.MaxNewSize); ms != 0 && ms >= heap {
 		return fmt.Errorf("hierarchy: MaxNewSize (%d) leaves no old generation in a %d-byte heap", ms, heap)
 	}
-	if c.Int("InitialCodeCacheSize") > c.Int("ReservedCodeCacheSize") {
+	if c.IntAt(f.InitialCodeCacheSize) > c.IntAt(f.ReservedCodeCacheSize) {
 		return fmt.Errorf("hierarchy: InitialCodeCacheSize exceeds ReservedCodeCacheSize")
 	}
-	if c.Int("PermSize") > c.Int("MaxPermSize") {
+	if c.IntAt(f.PermSize) > c.IntAt(f.MaxPermSize) {
 		return fmt.Errorf("hierarchy: PermSize exceeds MaxPermSize")
 	}
 	return nil
@@ -110,6 +146,8 @@ type Node struct {
 	Guard       Guard
 	Flags       []string
 	Children    []*Node
+
+	tunable []flags.ID // IDs of the tunable Flags, resolved by Build
 }
 
 // Branch is one alternative of a Choice: a way to configure the flags that
@@ -143,43 +181,24 @@ func (t *Tree) Registry() *flags.Registry { return t.reg }
 // Choices returns the tree's decision points in top-down order.
 func (t *Tree) Choices() []Choice { return t.choices }
 
-// ActiveFlags returns the sorted names of all *tunable* flags that are
+// ActiveFlags returns the sorted IDs of all *tunable* flags that are
 // active (their node's guard chain holds) under c. These are the flags a
 // dependency-respecting tuner may usefully mutate.
-func (t *Tree) ActiveFlags(c *flags.Config) []string {
-	seen := map[string]bool{}
-	var out []string
+func (t *Tree) ActiveFlags(c *flags.Config) []flags.ID {
+	var out []flags.ID
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Guard != nil && !n.Guard(c) {
 			return
 		}
-		for _, name := range n.Flags {
-			if seen[name] {
-				continue
-			}
-			if f := t.reg.Lookup(name); f != nil && f.Tunable() {
-				seen[name] = true
-				out = append(out, name)
-			}
-		}
+		out = append(out, n.tunable...)
 		for _, ch := range n.Children {
 			walk(ch)
 		}
 	}
 	walk(t.Root)
-	sort.Strings(out)
-	return out
-}
-
-// FlagActive reports whether the named flag is active under c.
-func (t *Tree) FlagActive(name string, c *flags.Config) bool {
-	for _, n := range t.ActiveFlags(c) {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // AllTreeFlags returns the sorted names of every flag attached anywhere in
@@ -240,8 +259,8 @@ func (t *Tree) SpaceSize() SpaceSize {
 		}
 		var branchLog float64
 		active := t.ActiveFlags(c)
-		for _, name := range active {
-			branchLog += math.Log10(float64(t.reg.Lookup(name).DomainSize()))
+		for _, id := range active {
+			branchLog += math.Log10(float64(t.reg.FlagByID(id).DomainSize()))
 		}
 		ss.ActivePerBranch[label] = len(active)
 		if first {

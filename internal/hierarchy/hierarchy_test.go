@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/flags"
@@ -112,6 +113,12 @@ func TestValidateRules(t *testing.T) {
 	if err := Validate(cc); err == nil {
 		t.Error("initial code cache > reserved should fail")
 	}
+}
+
+// FlagActive reports whether the named flag is active under c.
+func (t *Tree) FlagActive(name string, c *flags.Config) bool {
+	_, found := slices.BinarySearch(t.ActiveFlags(c), t.reg.ID(name))
+	return found
 }
 
 func TestActiveFlagsFollowCollector(t *testing.T) {
@@ -228,13 +235,12 @@ func TestActiveFlagsAreTunableAndSortedAndUnique(t *testing.T) {
 	if len(active) == 0 {
 		t.Fatal("no active flags under defaults")
 	}
-	for i, n := range active {
-		f := tr.Registry().Lookup(n)
-		if f == nil || !f.Tunable() {
-			t.Errorf("active flag %s is not tunable", n)
+	for i, id := range active {
+		if f := tr.Registry().FlagByID(id); !f.Tunable() {
+			t.Errorf("active flag %s is not tunable", f.Name)
 		}
-		if i > 0 && active[i-1] >= n {
-			t.Errorf("active flags not strictly sorted at %d: %s >= %s", i, active[i-1], n)
+		if i > 0 && active[i-1] >= id {
+			t.Errorf("active flags not strictly sorted at %d: %d >= %d", i, active[i-1], id)
 		}
 	}
 }

@@ -30,6 +30,7 @@ type jitOutcome struct {
 // a C1 phase: dramatically better warm-up at the price of more compilation
 // and a bigger code footprint.
 func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffects) jitOutcome {
+	id := idsOf(c)
 	var out jitOutcome
 
 	interpSpeed := fx.interpSpeed / interpreterSlowdown
@@ -38,22 +39,22 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 	base := p.BaseSeconds
 
 	warmRef := p.WarmupWork
-	if !c.Bool("UseCounterDecay") {
+	if !c.BoolAt(id.UseCounterDecay) {
 		// Without decay, invocation counters accumulate monotonically and
 		// thresholds are reached slightly sooner.
 		warmRef *= 0.92
 	}
 	// OSR aggressiveness: loop-heavy code escapes the interpreter through
 	// on-stack replacement; raising the OSR percentage delays that.
-	osrPct := float64(c.Int("OnStackReplacePercentage"))
+	osrPct := float64(c.IntAt(id.OnStackReplacePercentage))
 	osrRelief := 0.25 * p.LoopIntensity * clamp(140/osrPct, 0, 1.2)
 
-	tiered := c.Bool("TieredCompilation")
+	tiered := c.BoolAt(id.TieredCompilation)
 	var methodsC2, methodsC1 float64
 	if !tiered {
-		thr := float64(c.Int("CompileThreshold"))
+		thr := float64(c.IntAt(id.CompileThreshold))
 		warm := warmRef * pow(thr/10000, 0.9) * (1 - osrRelief)
-		if pp := float64(c.Int("InterpreterProfilePercentage")); pp > 33 {
+		if pp := float64(c.IntAt(id.InterpreterProfilePercentage)); pp > 33 {
 			warm *= 1 + (pp-33)/150
 		} else if pp < 10 {
 			// Too little profiling degrades the compiled code.
@@ -70,7 +71,7 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 		if c1Phase < 0 {
 			c1Phase = 0
 		}
-		stopLevel := c.Int("TieredStopAtLevel")
+		stopLevel := c.IntAt(id.TieredStopAtLevel)
 		if stopLevel < 4 {
 			// Stopping at C1: quick warm-up but the whole run executes at
 			// C1 speed — a win only for the shortest programs.
@@ -88,11 +89,11 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 	// Compilation work and its visibility.
 	compileWork := methodsC2*p.CodeKBPerMethod*compileSecPerKBC2 +
 		methodsC1*p.CodeKBPerMethod*compileSecPerKBC1
-	ci := int(c.Int("CICompilerCount"))
+	ci := int(c.IntAt(id.CICompilerCount))
 	if ci < 1 {
 		ci = 1
 	}
-	if c.Bool("BackgroundCompilation") {
+	if c.BoolAt(id.BackgroundCompilation) {
 		// Background compilation overlaps execution; what remains visible
 		// is queue-induced waiting during warm-up.
 		out.compileStall = compileWork * 0.08 / float64(ci)
@@ -109,9 +110,9 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 	// Code cache.
 	used := (methodsC2 + methodsC1*0.6) * p.CodeKBPerMethod * fx.codeExpansion
 	out.codeCacheUsedKB = used
-	reservedKB := float64(c.Int("ReservedCodeCacheSize") >> 10)
+	reservedKB := float64(c.IntAt(id.ReservedCodeCacheSize) >> 10)
 	if used > reservedKB {
-		if c.Bool("UseCodeCacheFlushing") {
+		if c.BoolAt(id.UseCodeCacheFlushing) {
 			// Flushing keeps compiling at the price of recompilation churn.
 			out.appSeconds *= 1 + 0.06*clamp(used/reservedKB-1, 0, 1)
 		} else {
@@ -121,7 +122,7 @@ func computeJIT(c *flags.Config, p *workload.Profile, m Machine, fx featureEffec
 			out.appSeconds += base * overflow * (1/interpSpeed - 1) * 0.5
 		}
 	}
-	if c.Int("InitialCodeCacheSize") < 256<<10 {
+	if c.IntAt(id.InitialCodeCacheSize) < 256<<10 {
 		out.startupExtra += 0.05
 	}
 	return out

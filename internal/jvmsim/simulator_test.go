@@ -373,7 +373,7 @@ func TestResultValid(t *testing.T) {
 func TestSimulatorTotalityOverRandomConfigs(t *testing.T) {
 	s := quietSim()
 	reg := flags.NewRegistry()
-	tun := reg.TunableNames()
+	tun := reg.TunableIDs()
 	p := prof(t, "tomcat")
 	rng := newTestRand(1234)
 	for trial := 0; trial < 300; trial++ {

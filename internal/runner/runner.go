@@ -137,12 +137,11 @@ type InProcess struct {
 	timeout0Set bool
 }
 
-// NewInProcess builds an in-process runner. The timeout defaults to 6× the
-// default configuration's wall time, matching the paper's practice of
-// killing configurations that are clearly hopeless.
+// NewInProcess builds an in-process runner. The timeout defaults to
+// sim.DefaultTimeout(p).
 func NewInProcess(sim *jvmsim.Simulator, p *workload.Profile) *InProcess {
 	r := &InProcess{sim: sim, profile: p}
-	r.TimeoutSeconds = 6 * sim.DefaultWall(flags.NewRegistry(), p, 1)
+	r.TimeoutSeconds = sim.DefaultTimeout(p)
 	return r
 }
 

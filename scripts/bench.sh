@@ -1,8 +1,8 @@
 #!/bin/sh
 # The repo's benchmark harness. Runs the hot-path benchmark suite — the flag
-# layer, the simulator batch entry points, and the 16-worker session
-# throughput headline — and persists the result as a BENCH_<n>.json
-# trajectory point via cmd/benchdiff.
+# layer, the simulator batch entry points, the 16-worker session
+# throughput headline and a hierarchical session — and persists the result
+# as a BENCH_<n>.json trajectory point via cmd/benchdiff.
 #
 #   scripts/bench.sh            record the next BENCH_<n>.json
 #   scripts/bench.sh -check     run fresh, compare against the latest
@@ -32,7 +32,11 @@ trap 'rm -f "$OUT"' EXIT
 		-bench '^Benchmark(Config|CommandLine|ParseArgs|MutateFlag|SampleValue|Diff|Simulator)' \
 		-benchmem -benchtime 1s \
 		./internal/flags ./internal/jvmsim
-	go test -run '^$' -bench 'BenchmarkSessionThroughput16' -benchtime 5s \
+	# Two session benchmarks: the 16-worker flat-random throughput headline,
+	# whose proposals the validator mostly rejects, and the paper's
+	# hierarchical searcher, whose crossover, mutation and validation are
+	# the representative per-trial cost.
+	go test -run '^$' -bench '^Benchmark(SessionThroughput16|SessionHierarchical)$' -benchtime 5s \
 		./internal/core
 	# The dispatch pair: the same fresh trial in-process and over loopback
 	# HTTP to a real evald handler. Their delta is the per-trial cost of
